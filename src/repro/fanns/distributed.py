@@ -132,19 +132,7 @@ class DistributedFanns:
             all_dists: list[np.ndarray] = []
             for node in range(self.n_nodes):
                 local_lists = [l for l in probe if self._owner(l) == node]
-                ids_l, dists_l = [], []
-                for list_id in local_lists:
-                    codes = self.index.list_codes[list_id]
-                    if len(codes) == 0:
-                        continue
-                    if self.index.residual:
-                        table = self.index.pq.adc_table(
-                            query - centroids[list_id]
-                        )
-                    else:
-                        table = self.index.pq.adc_table(query)
-                    ids_l.append(self.index.list_ids[list_id])
-                    dists_l.append(self.index.pq.adc_distances(table, codes))
+                ids_l, dists_l = self.index.scan_lists(query, local_lists)
                 if not ids_l:
                     continue
                 ids_cat = np.concatenate(ids_l)

@@ -14,6 +14,7 @@ accuracy-relevant option FANNS exposes; both modes are supported.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +76,39 @@ class IVFPQIndex:
 
     # -- search ---------------------------------------------------------------
 
+    def scan_lists(
+        self,
+        query: np.ndarray,
+        lists: Iterable[int],
+        stats: SearchStats | None = None,
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """ADC-score every code of the inverted ``lists`` for one query.
+
+        Returns the ids and approximate distances of each non-empty
+        list, in ``lists`` order.  Residual mode needs one ADC table per
+        list (of ``query - centroid``); they are built in a single
+        :meth:`ProductQuantizer.adc_tables` call.  Otherwise one table
+        of the query serves every list.
+        """
+        lists = [list_id for list_id in lists if len(self.list_codes[list_id])]
+        if self.residual:
+            tables = self.pq.adc_tables(query[None] - self.centroids[lists])
+        else:
+            tables = self.pq.adc_tables(query[None])
+        if stats is not None:
+            stats.lut_entries += tables.size
+        ids: list[np.ndarray] = []
+        dists: list[np.ndarray] = []
+        for pos, list_id in enumerate(lists):
+            codes = self.list_codes[list_id]
+            table = tables[pos if self.residual else 0]
+            ids.append(self.list_ids[list_id])
+            dists.append(self.pq.adc_distances(table, codes))
+            if stats is not None:
+                stats.codes_scanned += len(codes)
+                stats.code_bytes_scanned += codes.nbytes
+        return ids, dists
+
     def search(
         self,
         queries: np.ndarray,
@@ -97,36 +131,9 @@ class IVFPQIndex:
             probe = np.argpartition(coarse, nprobe - 1)[:nprobe]
             if stats is not None:
                 stats.centroid_distances += self.nlist
-            candidate_ids = []
-            candidate_dists = []
-            if self.residual:
-                # Residual mode: one ADC table per probed list.
-                for list_id in probe:
-                    codes = self.list_codes[list_id]
-                    if len(codes) == 0:
-                        continue
-                    table = self.pq.adc_table(query - self.centroids[list_id])
-                    dists = self.pq.adc_distances(table, codes)
-                    candidate_ids.append(self.list_ids[list_id])
-                    candidate_dists.append(dists)
-                    if stats is not None:
-                        stats.lut_entries += table.size
-                        stats.codes_scanned += len(codes)
-                        stats.code_bytes_scanned += codes.nbytes
-            else:
-                table = self.pq.adc_table(query)
-                if stats is not None:
-                    stats.lut_entries += table.size
-                for list_id in probe:
-                    codes = self.list_codes[list_id]
-                    if len(codes) == 0:
-                        continue
-                    dists = self.pq.adc_distances(table, codes)
-                    candidate_ids.append(self.list_ids[list_id])
-                    candidate_dists.append(dists)
-                    if stats is not None:
-                        stats.codes_scanned += len(codes)
-                        stats.code_bytes_scanned += codes.nbytes
+            candidate_ids, candidate_dists = self.scan_lists(
+                query, probe, stats
+            )
             if not candidate_ids:
                 continue
             ids = np.concatenate(candidate_ids)

@@ -88,15 +88,19 @@ class ProductQuantizer:
         ]
         return np.concatenate(parts, axis=1)
 
+    def adc_tables(self, queries: np.ndarray) -> np.ndarray:
+        """The (b, m, ksub) tables of squared distances of ``(b, dim)``
+        queries to every centroid, in one broadcast over all subspaces."""
+        queries = np.ascontiguousarray(queries, dtype=np.float32)
+        if queries.ndim != 2:
+            raise ValueError("queries must be (b, dim)")
+        self._check_dim(queries)
+        chunks = queries.reshape(queries.shape[0], self.m, 1, self.dsub)
+        return ((self.codebooks[None] - chunks) ** 2).sum(axis=3)
+
     def adc_table(self, query: np.ndarray) -> np.ndarray:
         """The (m, ksub) table of squared distances query-vs-centroids."""
-        query = np.ascontiguousarray(query, dtype=np.float32)
-        self._check_dim(query)
-        table = np.empty((self.m, self.ksub), dtype=np.float32)
-        for sub in range(self.m):
-            chunk = query[sub * self.dsub:(sub + 1) * self.dsub]
-            table[sub] = ((self.codebooks[sub] - chunk) ** 2).sum(axis=1)
-        return table
+        return self.adc_tables(np.asarray(query)[None])[0]
 
     def adc_distances(self, table: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """Approximate squared distances of ``codes`` given an ADC table."""

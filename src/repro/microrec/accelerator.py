@@ -98,7 +98,6 @@ class MicroRecAccelerator:
         self.plan = plan if plan is not None else plan_cartesian(spec, 0)
         if self.plan.spec != spec:
             raise ValueError("plan was built for a different model spec")
-        self._combined = self.plan.materialize(tables)
         self._row_bytes = self.plan.combined_row_bytes()
         sizes = self.plan.combined_table_bytes()
         sram_limit = min(

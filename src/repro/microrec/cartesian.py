@@ -9,8 +9,13 @@ dominant cost — while the capacity overhead stays affordable.
 
 :class:`CartesianPlan` picks which tables to combine under a byte
 budget (greedily, smallest product first, exactly the heuristic the
-MicroRec paper describes) and rewrites model spec, lookup traces, and
-materialised tables consistently.
+MicroRec paper describes) and rewrites model spec and lookup traces
+consistently.  The capacity cost is a property of the modelled
+hardware, not of the simulation: functional lookups decode each
+combined id back to its member ids and gather from the original
+tables, so no product table is ever allocated.
+:meth:`CartesianPlan.materialize` builds the combined layout only as a
+reference for what the hardware would store.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..workloads.traces import RecModelSpec
-from .embedding import EmbeddingTables
+from .embedding import EmbeddingTables, check_trace
 
 __all__ = ["CartesianPlan", "plan_cartesian"]
 
@@ -101,12 +106,12 @@ class CartesianPlan:
     # -- rewriting ------------------------------------------------------------
 
     def rewrite_trace(self, trace: np.ndarray) -> np.ndarray:
-        """Map an original ``(batch, n_tables)`` trace to combined ids."""
-        trace = np.asarray(trace)
-        if trace.ndim != 2 or trace.shape[1] != self.spec.n_tables:
-            raise ValueError(
-                f"trace must be (batch, {self.spec.n_tables})"
-            )
+        """Map an original ``(batch, n_tables)`` trace to combined ids.
+
+        Raises :class:`IndexError` for ids outside their table, which
+        the mixed-radix encoding would otherwise alias onto other rows.
+        """
+        trace = check_trace(self.spec, trace)
         out = np.empty((trace.shape[0], self.n_lookups), dtype=np.int64)
         for g, group in enumerate(self.groups):
             combined = np.zeros(trace.shape[0], dtype=np.int64)
@@ -115,14 +120,20 @@ class CartesianPlan:
             out[:, g] = combined
         return out
 
+    def _check_tables(self, tables: EmbeddingTables) -> None:
+        if tables.spec is not self.spec and tables.spec != self.spec:
+            raise ValueError("tables were built from a different spec")
+
     def materialize(self, tables: EmbeddingTables) -> list[np.ndarray]:
         """Build the combined tables' arrays from the original tables.
 
-        Combined entry rows concatenate member embeddings in group
-        order, consistent with :meth:`rewrite_trace`'s id encoding.
+        This is the reference layout of what the hardware stores, at
+        the full capacity cost of the product tables; :meth:`lookup`
+        never calls it.  Combined entry rows concatenate member
+        embeddings in group order, consistent with
+        :meth:`rewrite_trace`'s id encoding.
         """
-        if tables.spec is not self.spec and tables.spec != self.spec:
-            raise ValueError("tables were built from a different spec")
+        self._check_tables(tables)
         combined: list[np.ndarray] = []
         for group in self.groups:
             arrays = [tables.tables[t] for t in group]
@@ -138,22 +149,24 @@ class CartesianPlan:
     def lookup(self, tables: EmbeddingTables, trace: np.ndarray) -> np.ndarray:
         """Functional lookup through the combined layout.
 
-        Equivalent to ``tables.lookup(trace)`` up to a column
-        permutation (grouped tables concatenate adjacently); the result
-        here is returned in *original table order* so it is exactly
-        equal to the uncombined lookup.
+        Each combined id from :meth:`rewrite_trace` is decoded back to
+        its member ids (mixed-radix, last member first) and the rows
+        are gathered from the original tables, so the product tables
+        are never built.  The result is in *original table order* and
+        exactly equal to ``tables.lookup(trace)``.
         """
-        trace = np.asarray(trace)
-        combined_tables = self.materialize(tables)
+        self._check_tables(tables)
         combined_trace = self.rewrite_trace(trace)
         dim = self.spec.embedding_dim
         out = np.empty(
-            (trace.shape[0], self.spec.n_tables * dim), dtype=np.float32
+            (combined_trace.shape[0], self.spec.n_tables * dim),
+            dtype=np.float32,
         )
         for g, group in enumerate(self.groups):
-            rows = combined_tables[g][combined_trace[:, g]]
-            for pos, t in enumerate(group):
-                out[:, t * dim:(t + 1) * dim] = rows[:, pos * dim:(pos + 1) * dim]
+            ids = combined_trace[:, g]
+            for t in reversed(group):
+                ids, member = np.divmod(ids, self.spec.table_rows[t])
+                out[:, t * dim:(t + 1) * dim] = tables.tables[t][member]
         return out
 
 

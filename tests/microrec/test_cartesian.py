@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.microrec.accelerator import MicroRecAccelerator
 from repro.microrec.cartesian import CartesianPlan, plan_cartesian
 from repro.microrec.embedding import EmbeddingTables
 from repro.workloads.traces import RecModelSpec, lookup_trace
@@ -80,7 +81,7 @@ def test_combined_lookup_equals_uncombined():
     plan = plan_cartesian(spec, byte_budget=10 * spec.total_embedding_bytes)
     assert plan.lookups_saved >= 1
     trace = lookup_trace(spec, batch_size=32, seed=4)
-    assert np.allclose(plan.lookup(tables, trace), tables.lookup(trace))
+    assert np.array_equal(plan.lookup(tables, trace), tables.lookup(trace))
 
 
 def test_materialize_row_contents():
@@ -95,6 +96,39 @@ def test_materialize_row_contents():
             row = combined[i * 3 + j]
             assert np.array_equal(row[:4], tables.tables[0][i])
             assert np.array_equal(row[4:], tables.tables[1][j])
+
+
+@pytest.mark.parametrize("bad", [[0, 20], [0, 25], [-1, 0], [10, 0]])
+def test_combined_lookup_rejects_out_of_range_ids(bad):
+    # Mixed-radix encoding would alias [0, 25] onto table 0 row 1 plus
+    # table 1 row 5, and -1 onto the last row: ids are checked per
+    # table before encoding, exactly as the uncombined lookup checks.
+    spec = _spec(rows=(10, 20))
+    tables = EmbeddingTables(spec, seed=2)
+    plan = CartesianPlan(spec=spec, groups=((0, 1),))
+    trace = np.array([bad])
+    with pytest.raises(IndexError):
+        tables.lookup(trace)
+    with pytest.raises(IndexError):
+        plan.rewrite_trace(trace)
+    with pytest.raises(IndexError):
+        plan.lookup(tables, trace)
+
+
+def test_lookup_and_accelerator_never_materialize(monkeypatch):
+    spec = _spec(rows=(4, 6, 50, 200))
+    tables = EmbeddingTables(spec, seed=3)
+    plan = plan_cartesian(spec, byte_budget=10 * spec.total_embedding_bytes)
+    assert plan.lookups_saved >= 1
+
+    def refuse(self, tables):
+        raise AssertionError("product tables were materialised")
+
+    monkeypatch.setattr(CartesianPlan, "materialize", refuse)
+    trace = lookup_trace(spec, batch_size=8, seed=4)
+    accel = MicroRecAccelerator(tables, plan)
+    assert np.array_equal(plan.lookup(tables, trace), tables.lookup(trace))
+    assert accel.infer(trace).logits.shape[0] == 8
 
 
 def test_negative_budget_rejected():
@@ -121,4 +155,40 @@ def test_property_plan_valid_and_lookup_exact(rows, budget_factor):
     # Functional equivalence on a small trace.
     tables = EmbeddingTables(spec, seed=0)
     trace = lookup_trace(spec, batch_size=5, seed=1)
-    assert np.allclose(plan.lookup(tables, trace), tables.lookup(trace))
+    assert np.array_equal(plan.lookup(tables, trace), tables.lookup(trace))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rows=st.lists(st.integers(min_value=1, max_value=7), min_size=3,
+                  max_size=6),
+    data=st.data(),
+)
+def test_property_large_groups_lookup_exact(rows, data):
+    """Groups of 3+ members decode exactly and agree with the
+    materialised reference layout."""
+    n = len(rows)
+    order = data.draw(st.permutations(range(n)))
+    size = data.draw(st.integers(min_value=3, max_value=n))
+    groups = [tuple(sorted(order[:size]))]
+    if size < n:
+        groups.append(tuple(sorted(order[size:])))
+    spec = RecModelSpec(table_rows=tuple(rows), embedding_dim=2)
+    plan = CartesianPlan(spec=spec, groups=tuple(groups))
+    tables = EmbeddingTables(spec, seed=0)
+    trace = np.vstack([
+        lookup_trace(spec, batch_size=6, seed=1),
+        np.zeros((1, n), dtype=np.int64),
+        np.array([rows]) - 1,
+    ])
+    looked_up = plan.lookup(tables, trace)
+    assert np.array_equal(looked_up, tables.lookup(trace))
+    combined = plan.materialize(tables)
+    combined_trace = plan.rewrite_trace(trace)
+    dim = spec.embedding_dim
+    for g, group in enumerate(plan.groups):
+        rows_g = combined[g][combined_trace[:, g]]
+        expected = np.concatenate(
+            [looked_up[:, t * dim:(t + 1) * dim] for t in group], axis=1
+        )
+        assert np.array_equal(rows_g, expected)
